@@ -314,10 +314,10 @@ bool RunEngineGate(bench::BenchJson* json) {
 }
 
 /// INTERCONNECT — the transport subsystem's gate. Every TPC-H kind runs
-/// twice on a 3-node cluster at W=2: once over the legacy unbounded
-/// BlockChannel path and once over the credit-backpressured serialized
-/// transport, and the row multisets must be identical. The transport run
-/// meters its traffic into an EnergyMeter with a per-node NIC model; the
+/// on a 3-node cluster at W=2 over the credit-backpressured serialized
+/// transport, and its row multiset must equal a single-node, one-worker
+/// reference run over the unpartitioned tables (no remote edges). The
+/// transport run meters its traffic into an EnergyMeter with a per-node NIC model; the
 /// gate also requires nonzero shipped bytes on every kind (the shuffles
 /// really cross the fabric) and exact energy conservation — the meter's
 /// total is busy + idle + network to 1e-6. Shipped bytes are logical
@@ -350,7 +350,8 @@ bool RunInterconnectGate(bench::BenchJson* json,
   const QueryKind kinds[] = {QueryKind::kQ1, QueryKind::kQ3,
                              QueryKind::kQ12, QueryKind::kQ21};
   bench::PrintNote(StrFormat(
-      "legacy channels vs %s transport (window %d frames), 3 nodes, W=2:",
+      "single-node reference vs %s transport (window %d frames), "
+      "3 nodes, W=2:",
       transport.name().c_str(),
       transport.options().credit_window_frames));
   for (QueryKind kind : kinds) {
@@ -359,10 +360,7 @@ bool RunInterconnectGate(bench::BenchJson* json,
       bench::PrintNote("plan failed: " + plan_or.status().ToString());
       return false;
     }
-    exec::Executor::Options legacy_options;
-    legacy_options.workers_per_node = 2;
-    exec::Executor legacy_exec(&data, std::move(legacy_options));
-    auto legacy = legacy_exec.Execute(plan_or.value());
+    auto want = workload::SingleNodeReference(kind, db);
 
     energy::EnergyMeter meter(3, power_model, /*workers_per_node=*/2);
     meter.SetNicModels({nic, nic, nic});
@@ -372,17 +370,16 @@ bool RunInterconnectGate(bench::BenchJson* json,
     framed_options.activity_listener = &meter;
     exec::Executor framed_exec(&data, std::move(framed_options));
     auto framed = framed_exec.Execute(plan_or.value());
-    if (!legacy.ok() || !framed.ok()) {
-      bench::PrintNote("executor failed: " +
-                       (legacy.ok() ? framed.status() : legacy.status())
-                           .ToString());
+    if (!want.ok() || !framed.ok()) {
+      bench::PrintNote(
+          "executor failed: " +
+          (want.ok() ? framed.status() : want.status()).ToString());
       return false;
     }
 
     std::string diff;
     const bool match =
-        exec::TablesEqualUnordered(legacy->table, framed->table, 1e-6,
-                                   &diff);
+        exec::TablesEqualUnordered(*want, framed->table, 1e-6, &diff);
     if (!match) bench::PrintNote("  row divergence: " + diff);
     rows_match = rows_match && match;
 
@@ -409,7 +406,7 @@ bool RunInterconnectGate(bench::BenchJson* json,
   const bool ok = rows_match && shipped_everywhere && conserved;
   bench::PrintClaim(
       "the serialized credit-backpressured transport is row-identical to "
-      "the legacy channels, ships real bytes on every kind, and its "
+      "a single-node reference, ships real bytes on every kind, and its "
       "network joules conserve in the meter's split",
       "interconnect correctness + honest network energy",
       StrFormat("rows %s, %.1f KB shipped per query, conservation %s",

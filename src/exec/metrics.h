@@ -22,9 +22,7 @@ struct ExchangeStats {
   double sent_local_bytes = 0.0;
   double received_bytes = 0.0;
   /// Subset of received_bytes that arrived from a different node (crossed
-  /// the interconnect). Only the transport path can attribute this — the
-  /// legacy BlockChannel erases provenance — so it is 0 under the legacy
-  /// exchange.
+  /// the interconnect), attributed from the port's per-block provenance.
   double received_remote_bytes = 0.0;
   double rows_routed = 0.0;
 };
@@ -94,7 +92,7 @@ struct NodeMetrics {
   Duration exchange_wait = Duration::Zero();
   /// Time blocked in exchange Send() waiting for transport credit — the
   /// receiver backpressuring this sender. Like exchange_wait this is a
-  /// stall, not compute; always zero on the legacy unbounded path.
+  /// stall, not compute.
   Duration credit_wait = Duration::Zero();
   /// Blocked receive intervals in absolute steady-clock seconds; the
   /// executor rebases them onto the query start before reporting them to
@@ -102,7 +100,7 @@ struct NodeMetrics {
   /// into node-level metrics.
   std::vector<std::pair<double, double>> exchange_wait_spans;
   /// Credit-blocked send intervals, same convention as
-  /// exchange_wait_spans. Transient, transport path only.
+  /// exchange_wait_spans. Transient.
   std::vector<std::pair<double, double>> credit_wait_spans;
 
   /// Per-operator-stage time/row breakdown (filled when the executor runs

@@ -83,7 +83,22 @@ ExecutorRuntime::~ExecutorRuntime() {
     shutdown_ = true;
   }
   cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
+  for (auto& [id, t] : threads_) t.join();
+}
+
+void ExecutorRuntime::ReapFinishedThreads() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const int id : finished_) {
+      auto it = threads_.find(id);
+      done.push_back(std::move(it->second));
+      threads_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Outside the lock: a finished thread may still be unwinding.
+  for (std::thread& t : done) t.join();
 }
 
 Status ExecutorRuntime::AddGroup(ResourceGroup group) {
@@ -111,6 +126,7 @@ StatusOr<ExecutorRuntime::TicketPtr> ExecutorRuntime::Submit(
 
 StatusOr<ExecutorRuntime::TicketPtr> ExecutorRuntime::Submit(
     Executor::NodePlanFn plan_for_node, RuntimeQueryOptions options) {
+  ReapFinishedThreads();
   std::lock_guard<std::mutex> lock(mu_);
   EEDC_RETURN_IF_ERROR(init_status_);
   if (shutdown_) {
@@ -176,7 +192,11 @@ StatusOr<ExecutorRuntime::TicketPtr> ExecutorRuntime::Submit(
   }
   UpdateGaugesLocked();
   cv_.notify_all();
-  threads_.emplace_back([this, ticket] { RunQuery(ticket); });
+  threads_.try_emplace(ticket->id_, [this, ticket] {
+    RunQuery(ticket);
+    std::lock_guard<std::mutex> done_lock(mu_);
+    finished_.push_back(ticket->id_);
+  });
   return ticket;
 }
 

@@ -187,6 +187,8 @@ class ExecutorRuntime {
   void TryAdmitLocked();
   bool FitsLocked(const Ticket& t) const;
   void RunQuery(const TicketPtr& ticket);
+  /// Joins the coordination threads of finished queries. Takes mu_.
+  void ReapFinishedThreads();
   /// Refreshes the queue_depth / in_flight_build_bytes gauges; caller
   /// holds mu_.
   void UpdateGaugesLocked();
@@ -212,7 +214,11 @@ class ExecutorRuntime {
   long next_seq_ = 0;
   int next_id_ = 0;
   bool shutdown_ = false;
-  std::vector<std::thread> threads_;
+  /// Coordination threads by query id. A thread appends its id to
+  /// `finished_` as its last step; the next Submit joins and drops it, so
+  /// a long-lived runtime holds no stacks for finished queries.
+  std::map<int, std::thread> threads_;
+  std::vector<int> finished_;
 
   mutable std::mutex spans_mu_;
   std::vector<TaggedWorkerSpan> spans_;

@@ -79,7 +79,7 @@ class InProcessPort final : public ExchangePort {
     if (block.empty()) return;
     if (source == dest) {
       // Loopback never crosses the NIC: no serialization, no credits —
-      // the legacy unbounded hot path.
+      // the block moves by pointer into the unbounded spill queue.
       Inbox& inbox = *inboxes_[static_cast<std::size_t>(dest)];
       {
         std::lock_guard<std::mutex> lock(inbox.mu);

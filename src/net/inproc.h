@@ -1,19 +1,19 @@
-// In-process transport backend: the default interconnect.
+// In-process transport backend: the default interconnect, and the one
+// every Executor without a caller-supplied transport runs on.
 //
-// Frames move through per-node in-memory inboxes, but — unlike the
-// legacy exec::BlockChannel path — remote blocks are really serialized
-// into wire frames (net/wire.h) and really credit-gated: each remote
-// edge holds at most credit_window_frames frames in flight, a credit
-// returning to the sender only when the receiver (or the cycle-breaking
-// spill drain, see net/transport.h) dequeues a frame. Loopback edges
-// skip serialization and credits entirely; small remote blocks coalesce
-// in a per-edge staging block until the coalesce threshold, block
-// capacity, or SenderDone flushes them.
+// Frames move through per-node in-memory inboxes, but remote blocks are
+// really serialized into wire frames (net/wire.h) and really
+// credit-gated: each remote edge holds at most credit_window_frames
+// frames in flight, a credit returning to the sender only when the
+// receiver (or the cycle-breaking spill drain, see net/transport.h)
+// dequeues a frame. Loopback edges skip serialization and credits
+// entirely; small remote blocks coalesce in a per-edge staging block
+// until the coalesce threshold, block capacity, or SenderDone flushes
+// them.
 //
-// This backend exists to make transport behavior testable without
-// sockets: results are identical to the BlockChannel path and to the
-// socket backend, while byte/frame counters, credit waits and
-// backpressure are all real.
+// Within one process this backend needs no sockets: results are
+// identical to the socket backend, while byte/frame counters, credit
+// waits and backpressure are all real.
 #ifndef EEDC_NET_INPROC_H_
 #define EEDC_NET_INPROC_H_
 

@@ -320,7 +320,7 @@ StatusOr<FaultMeasurement> EngineFleet::MeasureWithCrash(
 
   // Attempt 1 crashes: a deterministic fuse trips after a handful of
   // cooperative cancellation checks, tearing the query down exactly as a
-  // dead node would — channels poisoned, barriers aborted, partial
+  // dead node would — ports poisoned, barriers aborted, partial
   // results dropped.
   exec::CancelToken token;
   token.CancelAfter(

@@ -312,7 +312,9 @@ class EngineFleet {
   /// Interconnect behind the single-query executors: remote blocks ship
   /// as serialized credit-backpressured frames, and the metered traffic
   /// feeds the meter's NIC term and the profiles' shipped_bytes.
-  /// (MeasureConcurrent's runtime keeps the legacy channel fabric.)
+  /// (MeasureConcurrent's runtime gives each query its own in-process
+  /// transport; its span collector does not forward the traffic to a
+  /// NIC term.)
   std::unique_ptr<net::InProcessTransport> transport_;
   std::unique_ptr<energy::EnergyMeter> meter_;
   std::unique_ptr<exec::Executor> executor_;

@@ -43,6 +43,19 @@ StatusOr<exec::PlanPtr> PlanForKind(QueryKind kind,
   return Status::InvalidArgument("unknown query kind");
 }
 
+StatusOr<storage::Table> SingleNodeReference(QueryKind kind,
+                                             const tpch::TpchDatabase& db) {
+  EEDC_ASSIGN_OR_RETURN(exec::PlanPtr plan, PlanForKind(kind, db));
+  exec::ClusterData data(1);
+  for (const std::string& name : db.TableNames()) {
+    EEDC_ASSIGN_OR_RETURN(storage::TablePtr table, db.ByName(name));
+    data.LoadReplicated(name, std::move(table));
+  }
+  exec::Executor executor(&data);
+  EEDC_ASSIGN_OR_RETURN(exec::QueryResult result, executor.Execute(plan));
+  return std::move(result.table);
+}
+
 StatusOr<QueryProfiles> MeasureQueryProfiles(const ProfileOptions& opts) {
   if (opts.nodes <= 0 || opts.workers_per_node <= 0) {
     return Status::InvalidArgument(

@@ -15,6 +15,7 @@
 
 #include "common/statusor.h"
 #include "power/power_model.h"
+#include "storage/table.h"
 #include "workload/driver.h"
 
 namespace eedc::energy {
@@ -37,6 +38,12 @@ namespace eedc::workload {
 /// the mixed-fleet engine runner (engine.h).
 StatusOr<std::shared_ptr<const exec::PlanNode>> PlanForKind(
     QueryKind kind, const tpch::TpchDatabase& db);
+
+/// The reference rows of `kind` for result-identity checks: PlanForKind
+/// run by one node with one worker over the whole, unpartitioned tables
+/// of `db`, so no exchange edge crosses nodes and no frame is serialized.
+StatusOr<storage::Table> SingleNodeReference(QueryKind kind,
+                                             const tpch::TpchDatabase& db);
 
 struct ProfileOptions {
   double scale_factor = 0.002;

@@ -1,14 +1,18 @@
+// The exchange operator over an in-process transport port: shuffle /
+// broadcast / gather routing, local vs remote byte accounting on both the
+// send and the receive side, destination subsets, selection runs, the
+// single-node loopback, and key/range validation.
+#include "exec/exchange_op.h"
+
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <thread>
 
-#include "exec/channel.h"
-#include "obs/metrics_registry.h"
-#include "exec/exchange_op.h"
 #include "exec/scan_op.h"
+#include "net/inproc.h"
 #include "storage/partitioner.h"
 #include "storage/schema.h"
 
@@ -36,125 +40,35 @@ TablePtr MakeKeyed(int lo, int hi) {
   return t;
 }
 
-TEST(BlockChannelTest, SendReceiveFifo) {
-  BlockChannel ch(1);
-  Block b1(KeyedSchema());
-  b1.AppendRow({std::int64_t{1}, std::int64_t{7}});
-  ch.Send(std::move(b1));
-  ch.SenderDone();
-  auto got = ch.Receive();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->size(), 1u);
-  EXPECT_FALSE(ch.Receive().has_value());  // closed and drained
+std::unique_ptr<net::ExchangePort> MakePort(int nodes) {
+  net::InProcessTransport transport;
+  auto port = transport.CreatePort(/*exchange_id=*/0, nodes,
+                                   std::vector<int>(nodes, 1));
+  EXPECT_TRUE(port.ok()) << port.status();
+  return std::move(port).value();
 }
 
-TEST(BlockChannelTest, ReceiveBlocksUntilSend) {
-  BlockChannel ch(1);
-  std::atomic<bool> got{false};
-  std::thread receiver([&ch, &got] {
-    auto block = ch.Receive();
-    got = block.has_value();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{1}});
-  ch.Send(std::move(b));
-  ch.SenderDone();
-  receiver.join();
-  EXPECT_TRUE(got.load());
-}
+/// Builds the child operator of `node`'s exchange instance.
+using ChildFn = std::function<OperatorPtr(int node)>;
 
-TEST(BlockChannelTest, MultipleSendersAllMustFinish) {
-  BlockChannel ch(3);
-  ch.SenderDone();
-  ch.SenderDone();
-  std::atomic<bool> done{false};
-  std::thread receiver([&ch, &done] {
-    while (ch.Receive().has_value()) {
-    }
-    done = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(done.load());  // third sender still open
-  ch.SenderDone();
-  receiver.join();
-  EXPECT_TRUE(done.load());
-}
-
-// Regression: a receive on a closed channel must return immediately with
-// no value and must NOT accrue blocked time — pre-fix, a poisoned
-// channel's receiver could keep charging its wait to exchange metrics.
-TEST(BlockChannelTest, ReceiveAfterCloseReturnsImmediately) {
-  BlockChannel ch(2);
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{1}});
-  ch.Send(std::move(b));
-  ch.Close(Status::Unavailable("node down"));
-  Duration blocked = Duration::Seconds(0.0);
-  auto got = ch.Receive(&blocked);
-  EXPECT_FALSE(got.has_value());  // queued block discarded by the poison
-  EXPECT_DOUBLE_EQ(blocked.seconds(), 0.0);
-  EXPECT_TRUE(ch.close_reason().IsUnavailable());
-}
-
-TEST(BlockChannelTest, CloseWakesBlockedReceiver) {
-  BlockChannel ch(1);
-  std::atomic<bool> got{true};
-  std::thread receiver([&ch, &got] { got = ch.Receive().has_value(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ch.Close(Status::Cancelled("query cancelled"));
-  receiver.join();
-  EXPECT_FALSE(got.load());
-  EXPECT_TRUE(ch.close_reason().IsCancelled());
-}
-
-TEST(BlockChannelTest, CloseKeepsFirstReasonAndToleratesLateSenders) {
-  BlockChannel ch(2);
-  ch.Close(Status::Unavailable("first"));
-  ch.Close(Status::Cancelled("second"));
-  EXPECT_TRUE(ch.close_reason().IsUnavailable());
-  // Late sends and SenderDone after poison are no-ops, not crashes
-  // (AbortSend teardown races with Close in the executor).
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{1}});
-  ch.Send(std::move(b));
-  ch.SenderDone();
-  ch.SenderDone();
-  ch.SenderDone();
-  EXPECT_FALSE(ch.Receive().has_value());
-}
-
-TEST(BlockChannelTest, ReceiveForTimesOutOnStalledSender) {
-  BlockChannel ch(1);  // sender never sends: a stalled peer
-  Duration blocked = Duration::Seconds(0.0);
-  bool timed_out = false;
-  auto got = ch.ReceiveFor(Duration::Millis(30.0), &blocked, &timed_out);
-  EXPECT_FALSE(got.has_value());
-  EXPECT_TRUE(timed_out);
-  EXPECT_GE(blocked.seconds(), 0.02);
-}
-
-TEST(BlockChannelTest, ReceiveForDeliversBeforeDeadline) {
-  BlockChannel ch(1);
-  Block b(KeyedSchema());
-  b.AppendRow({std::int64_t{1}, std::int64_t{2}});
-  ch.Send(std::move(b));
-  bool timed_out = false;
-  auto got = ch.ReceiveFor(Duration::Seconds(5.0), nullptr, &timed_out);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(timed_out);
-  EXPECT_EQ(got->size(), 1u);
-}
-
-// Runs one exchange instance per node over the given local tables and
-// returns each node's received rows.
-std::vector<Table> RunExchange(ExchangeMode mode,
-                               const std::string& key,
-                               std::vector<TablePtr> locals,
+/// Runs one exchange instance per node over one shared port and returns
+/// each node's received rows. Instances are created up front, before any
+/// thread starts, as the executor does.
+std::vector<Table> RunExchange(ExchangeMode mode, const std::string& key,
+                               int n, const ChildFn& child,
+                               std::vector<int> destinations,
                                std::vector<NodeMetrics>* metrics_out) {
-  const int n = static_cast<int>(locals.size());
-  ExchangeGroup group(n, 0);
+  auto port = MakePort(n);
   std::vector<NodeMetrics> metrics(static_cast<std::size_t>(n));
+  std::vector<OperatorPtr> ops;
+  for (int node = 0; node < n; ++node) {
+    auto op = ExchangeOp::Create(child(node), mode, key, node, port.get(),
+                                 destinations,
+                                 &metrics[static_cast<std::size_t>(node)]);
+    EXPECT_TRUE(op.ok()) << op.status();
+    if (!op.ok()) return {};
+    ops.push_back(std::move(op).value());
+  }
   std::vector<Table> results;
   results.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) results.emplace_back(KeyedSchema());
@@ -162,21 +76,16 @@ std::vector<Table> RunExchange(ExchangeMode mode,
   std::vector<std::thread> threads;
   for (int node = 0; node < n; ++node) {
     threads.emplace_back([&, node] {
-      auto op = ExchangeOp::Create(
-          std::make_unique<ScanOp>(locals[static_cast<std::size_t>(node)],
-                                   nullptr),
-          mode, key, node, &group, /*destinations=*/{},
-          &metrics[static_cast<std::size_t>(node)]);
-      ASSERT_TRUE(op.ok());
-      ASSERT_TRUE((*op)->Open().ok());
+      Operator& op = *ops[static_cast<std::size_t>(node)];
+      ASSERT_TRUE(op.Open().ok());
       while (true) {
-        auto block = (*op)->Next();
-        ASSERT_TRUE(block.ok());
+        auto block = op.Next();
+        ASSERT_TRUE(block.ok()) << block.status();
         if (!block.value().has_value()) break;
         block.value()->AppendLiveRowsTo(
             &results[static_cast<std::size_t>(node)]);
       }
-      ASSERT_TRUE((*op)->Close().ok());
+      ASSERT_TRUE(op.Close().ok());
     });
   }
   for (auto& t : threads) t.join();
@@ -184,27 +93,17 @@ std::vector<Table> RunExchange(ExchangeMode mode,
   return results;
 }
 
-TEST(BlockChannelTest, BytesQueuedGaugeReadsExactlyZeroAfterDrain) {
-  // Fractional logical widths made the old double accumulator drift
-  // (+= then -= of the same block need not cancel); the integer gauge
-  // must read exactly 0.0 — not merely nearly — once drained.
-  const Schema skewed{Field{"k", DataType::kInt64, 5.3},
-                      Field{"pad", DataType::kString, 17.7}};
-  obs::MetricsRegistry registry;
-  BlockChannel ch(1);
-  ch.AttachMetrics(&registry, "chan.test");
-  for (int round = 0; round < 1000; ++round) {
-    Block b(skewed);
-    for (int r = 0; r < 1 + round % 7; ++r) {
-      b.AppendRow({std::int64_t{round}, std::string("x")});
-    }
-    ch.Send(std::move(b));
-    ASSERT_TRUE(ch.Receive().has_value());
-  }
-  ch.SenderDone();
-  EXPECT_FALSE(ch.Receive().has_value());
-  EXPECT_EQ(registry.gauge("chan.test.queue_depth"), 0.0);
-  EXPECT_EQ(registry.gauge("chan.test.bytes_queued"), 0.0);  // exact
+/// Scans node i's table locals[i].
+std::vector<Table> RunExchange(ExchangeMode mode, const std::string& key,
+                               std::vector<TablePtr> locals,
+                               std::vector<NodeMetrics>* metrics_out) {
+  return RunExchange(
+      mode, key, static_cast<int>(locals.size()),
+      [&locals](int node) -> OperatorPtr {
+        return std::make_unique<ScanOp>(
+            locals[static_cast<std::size_t>(node)], nullptr);
+      },
+      /*destinations=*/{}, metrics_out);
 }
 
 TEST(ExchangeOpTest, ShuffleDeliversEveryRowToItsHashNode) {
@@ -241,6 +140,12 @@ TEST(ExchangeOpTest, ShuffleByteAccountingSplitsLocalAndRemote) {
     EXPECT_GT(ex.sent_local_bytes, 3000.0);
     EXPECT_DOUBLE_EQ(ex.rows_routed, 1000.0);
   }
+  // The port keeps provenance: what one node shipped remotely is exactly
+  // what the other received from a remote source.
+  EXPECT_NEAR(metrics[0].exchanges[0].sent_remote_bytes,
+              metrics[1].exchanges[0].received_remote_bytes, 1e-9);
+  EXPECT_NEAR(metrics[1].exchanges[0].sent_remote_bytes,
+              metrics[0].exchanges[0].received_remote_bytes, 1e-9);
 }
 
 TEST(ExchangeOpTest, BroadcastGivesEveryNodeEverything) {
@@ -272,6 +177,7 @@ TEST(ExchangeOpTest, BroadcastAccountsRemoteCopies) {
     EXPECT_NEAR(ex.sent_remote_bytes, 2000.0, 1.0);
     EXPECT_NEAR(ex.sent_local_bytes, 1000.0, 1.0);
     EXPECT_NEAR(ex.received_bytes, 3000.0, 1.0);
+    EXPECT_NEAR(ex.received_remote_bytes, 2000.0, 1.0);
   }
 }
 
@@ -286,52 +192,35 @@ TEST(ExchangeOpTest, GatherCollectsOnNodeZero) {
 }
 
 TEST(ExchangeOpTest, ShuffleRequiresKey) {
-  ExchangeGroup group(2, 0);
+  auto port = MakePort(2);
   auto op = ExchangeOp::Create(
       std::make_unique<ScanOp>(MakeKeyed(0, 1), nullptr),
-      ExchangeMode::kShuffle, "", 0, &group, {}, nullptr);
+      ExchangeMode::kShuffle, "", 0, port.get(), {}, nullptr);
   EXPECT_FALSE(op.ok());
 }
 
 TEST(ExchangeOpTest, DestinationsOutOfRangeRejected) {
-  ExchangeGroup group(2, 0);
+  auto port = MakePort(2);
   auto op = ExchangeOp::Create(
       std::make_unique<ScanOp>(MakeKeyed(0, 1), nullptr),
-      ExchangeMode::kShuffle, "key", 0, &group, {5}, nullptr);
+      ExchangeMode::kShuffle, "key", 0, port.get(), {5}, nullptr);
   EXPECT_FALSE(op.ok());
 }
 
 // Restricting destinations models heterogeneous execution: only joiner
 // nodes receive shuffled tuples.
 TEST(ExchangeOpTest, DestinationSubsetReceivesEverything) {
-  const int n = 4;
-  ExchangeGroup group(n, 0);
   std::vector<TablePtr> locals = {MakeKeyed(0, 100), MakeKeyed(100, 200),
                                   MakeKeyed(200, 300),
                                   MakeKeyed(300, 400)};
-  std::vector<Table> results;
-  for (int i = 0; i < n; ++i) results.emplace_back(KeyedSchema());
-  std::vector<std::thread> threads;
-  for (int node = 0; node < n; ++node) {
-    threads.emplace_back([&, node] {
-      auto op = ExchangeOp::Create(
-          std::make_unique<ScanOp>(locals[static_cast<std::size_t>(node)],
-                                   nullptr),
-          ExchangeMode::kShuffle, "key", node, &group,
-          /*destinations=*/{0, 1}, nullptr);
-      ASSERT_TRUE(op.ok());
-      ASSERT_TRUE((*op)->Open().ok());
-      while (true) {
-        auto block = (*op)->Next();
-        ASSERT_TRUE(block.ok());
-        if (!block.value().has_value()) break;
-        block.value()->AppendLiveRowsTo(
-            &results[static_cast<std::size_t>(node)]);
-      }
-      ASSERT_TRUE((*op)->Close().ok());
-    });
-  }
-  for (auto& t : threads) t.join();
+  auto results = RunExchange(
+      ExchangeMode::kShuffle, "key", /*n=*/4,
+      [&locals](int node) -> OperatorPtr {
+        return std::make_unique<ScanOp>(
+            locals[static_cast<std::size_t>(node)], nullptr);
+      },
+      /*destinations=*/{0, 1}, nullptr);
+  ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].num_rows() + results[1].num_rows(), 400u);
   EXPECT_GT(results[0].num_rows(), 0u);
   EXPECT_GT(results[1].num_rows(), 0u);
@@ -343,55 +232,40 @@ TEST(ExchangeOpTest, DestinationSubsetReceivesEverything) {
 // selection, and preserve their payloads — including when selection runs
 // are fragmented (every other row) and when they are contiguous spans.
 TEST(ExchangeOpTest, ShuffleRoutesSelectionRunsCorrectly) {
+  // A child that emits one borrowed block with a mixed selection: a
+  // contiguous run [10, 60) plus every third row of [100, 250).
+  class SelectingScan final : public Operator {
+   public:
+    explicit SelectingScan(TablePtr t) : table_(std::move(t)) {}
+    Status Open() override { return Status::OK(); }
+    StatusOr<std::optional<Block>> Next() override {
+      if (done_) return std::optional<Block>();
+      done_ = true;
+      Block block = Block::Borrow(table_, 0, table_->num_rows());
+      std::vector<std::uint32_t> sel;
+      for (std::uint32_t r = 10; r < 60; ++r) sel.push_back(r);
+      for (std::uint32_t r = 100; r < 250; r += 3) sel.push_back(r);
+      block.SetSelection(std::move(sel));
+      return std::optional<Block>(std::move(block));
+    }
+    Status Close() override { return Status::OK(); }
+    const Schema& schema() const override { return table_->schema(); }
+
+   private:
+    TablePtr table_;
+    bool done_ = false;
+  };
   const int n = 3;
-  ExchangeGroup group(n, 0);
   std::vector<TablePtr> locals = {MakeKeyed(0, 300), MakeKeyed(300, 600),
                                   MakeKeyed(600, 900)};
-  std::vector<Table> results;
-  for (int i = 0; i < n; ++i) results.emplace_back(KeyedSchema());
-  std::vector<std::thread> threads;
-  for (int node = 0; node < n; ++node) {
-    threads.emplace_back([&, node] {
-      // A child that emits one borrowed block with a mixed selection:
-      // a contiguous run [10, 60) plus every third row of [100, 250).
-      class SelectingScan final : public Operator {
-       public:
-        explicit SelectingScan(TablePtr t) : table_(std::move(t)) {}
-        Status Open() override { return Status::OK(); }
-        StatusOr<std::optional<Block>> Next() override {
-          if (done_) return std::optional<Block>();
-          done_ = true;
-          Block block = Block::Borrow(table_, 0, table_->num_rows());
-          std::vector<std::uint32_t> sel;
-          for (std::uint32_t r = 10; r < 60; ++r) sel.push_back(r);
-          for (std::uint32_t r = 100; r < 250; r += 3) sel.push_back(r);
-          block.SetSelection(std::move(sel));
-          return std::optional<Block>(std::move(block));
-        }
-        Status Close() override { return Status::OK(); }
-        const Schema& schema() const override { return table_->schema(); }
-
-       private:
-        TablePtr table_;
-        bool done_ = false;
-      };
-      auto op = ExchangeOp::Create(
-          std::make_unique<SelectingScan>(
-              locals[static_cast<std::size_t>(node)]),
-          ExchangeMode::kShuffle, "key", node, &group, {}, nullptr);
-      ASSERT_TRUE(op.ok());
-      ASSERT_TRUE((*op)->Open().ok());
-      while (true) {
-        auto block = (*op)->Next();
-        ASSERT_TRUE(block.ok());
-        if (!block.value().has_value()) break;
-        block.value()->AppendLiveRowsTo(
-            &results[static_cast<std::size_t>(node)]);
-      }
-      ASSERT_TRUE((*op)->Close().ok());
-    });
-  }
-  for (auto& t : threads) t.join();
+  auto results = RunExchange(
+      ExchangeMode::kShuffle, "key", n,
+      [&locals](int node) -> OperatorPtr {
+        return std::make_unique<SelectingScan>(
+            locals[static_cast<std::size_t>(node)]);
+      },
+      /*destinations=*/{}, nullptr);
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(n));
   // 50 contiguous + 50 strided live rows per node, hash-routed.
   std::set<std::int64_t> got;
   std::size_t total = 0;
@@ -421,6 +295,8 @@ TEST(ExchangeOpTest, SingleNodeShuffleIsLoopback) {
                              &metrics);
   EXPECT_EQ(results[0].num_rows(), 42u);
   EXPECT_DOUBLE_EQ(metrics[0].exchanges[0].sent_remote_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(metrics[0].exchanges[0].received_remote_bytes, 0.0);
+  EXPECT_NEAR(metrics[0].exchanges[0].received_bytes, 420.0, 1e-9);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <limits>
 #include <optional>
 #include <set>
@@ -11,6 +12,7 @@
 #include "exec/reference.h"
 #include "tpch/dbgen.h"
 #include "tpch/selectivity.h"
+#include "workload/profiles.h"
 
 namespace eedc::exec {
 namespace {
@@ -328,6 +330,72 @@ TEST(ExecutorRuntimeTest, ShutdownNeverStrandsAWaiter) {
   } else {
     EXPECT_TRUE(waiter_result.status().IsUnavailable())
         << waiter_result.status();
+  }
+}
+
+/// Mappings of this process (lines of /proc/self/maps); -1 when the
+/// file is unavailable.
+int MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return -1;
+  int lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Each query runs on its own coordination thread. A finished thread that
+// is never joined keeps its stack mapped until the runtime dies, so a
+// long-lived runtime would grow by a mapping or two per query and
+// eventually fail to create threads at all.
+TEST(ExecutorRuntimeTest, FinishedQueryThreadsAreReaped) {
+  const TpchDatabase db = tpch::GenerateDatabase(TestOpts());
+  ClusterData data(1);
+  data.LoadReplicated("nation", db.nation);
+  ExecutorRuntime runtime(&data, Executor::Options{});
+  const PlanPtr plan = ScanPlan("nation");
+  const auto run = [&](int queries) {
+    for (int i = 0; i < queries; ++i) {
+      auto ticket = runtime.Submit(plan, {});
+      ASSERT_TRUE(ticket.ok()) << ticket.status();
+      auto result = (*ticket)->Wait();
+      ASSERT_TRUE(result.ok()) << result.status();
+    }
+  };
+  run(50);  // warm the allocator's per-thread arenas and stack cache
+  const int before = MappingCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/maps is unavailable";
+  run(2000);
+  EXPECT_LT(MappingCount() - before, 200);
+}
+
+// The runtime's queries run over the in-process transport, so their
+// exchanges are metered like any other execution: remote bytes shipped,
+// and per-node bytes received from other nodes.
+TEST(ExecutorRuntimeTest, QueriesMeterInterconnectTraffic) {
+  const TpchDatabase db = tpch::GenerateDatabase(TestOpts());
+  ClusterData data(3);
+  ASSERT_TRUE(
+      data.LoadHashPartitioned("lineitem", *db.lineitem, "l_orderkey").ok());
+  ASSERT_TRUE(
+      data.LoadHashPartitioned("orders", *db.orders, "o_custkey").ok());
+  data.LoadReplicated("supplier", db.supplier);
+  data.LoadReplicated("nation", db.nation);
+  auto plan = workload::PlanForKind(workload::QueryKind::kQ3, db);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  Executor::Options options;
+  options.workers_per_node = 2;
+  ExecutorRuntime runtime(&data, options);
+  auto ticket = runtime.Submit(*plan, {});
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  auto result = (*ticket)->Wait();
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  EXPECT_GT(result->metrics.TotalRemoteBytes(), 0.0);
+  ASSERT_EQ(result->metrics.nodes.size(), 3u);
+  for (std::size_t node = 0; node < 3; ++node) {
+    EXPECT_GT(result->metrics.nodes[node].total_received_remote_bytes(), 0.0)
+        << "node " << node;
   }
 }
 

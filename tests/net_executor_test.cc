@@ -1,8 +1,8 @@
-// End-to-end interconnect gates: the transport-backed executor must be
-// row-identical to the legacy BlockChannel path across worker counts and
-// query kinds; the metered network traffic must conserve in the energy
-// meter's split; the legacy channel gauges must export; and the workload
-// driver must price shipped bytes in energy-aware dispatch.
+// End-to-end interconnect gates: a 3-node transport-backed executor must
+// be row-identical to a single-node, one-worker run (no remote edges)
+// across worker counts and query kinds; the metered network traffic must
+// conserve in the energy meter's split; and the workload driver must
+// price shipped bytes in energy-aware dispatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "exec/reference.h"
 #include "net/inproc.h"
 #include "net/transport.h"
-#include "obs/metrics_registry.h"
 #include "power/power_model.h"
 #include "tpch/dbgen.h"
 #include "workload/driver.h"
@@ -66,11 +65,11 @@ QueryResult RunQuery(ClusterData* data, exec::PlanPtr plan, int workers,
   return std::move(result).value();
 }
 
-TEST(NetExecutorTest, InProcessTransportMatchesLegacyPath) {
-  // The ISSUE acceptance gate: bit-identical results (unordered rows, so
-  // row-identical multisets) between the legacy unbounded channels and
-  // the serialized credit-backpressured transport, at W = 1/2/8 on all
-  // four query kinds.
+TEST(NetExecutorTest, InProcessTransportMatchesSingleNodeReference) {
+  // Row-identical multisets (unordered rows) between the serialized,
+  // credit-backpressured transport on 3 nodes and a single-node,
+  // one-worker run with no remote edges, at W = 1/2/8 on all four query
+  // kinds.
   ClusterData data(3);
   LoadVerticaLayout(&data);
   net::InProcessTransport transport;
@@ -80,14 +79,15 @@ TEST(NetExecutorTest, InProcessTransportMatchesLegacyPath) {
     auto plan_or = workload::PlanForKind(kind, Db());
     ASSERT_TRUE(plan_or.ok()) << plan_or.status();
     const exec::PlanPtr plan = std::move(plan_or).value();
+    auto want = workload::SingleNodeReference(kind, Db());
+    ASSERT_TRUE(want.ok()) << want.status();
     for (const int workers : {1, 2, 8}) {
       SCOPED_TRACE(std::string(workload::QueryKindName(kind)) + " W=" +
                    std::to_string(workers));
-      QueryResult legacy = RunQuery(&data, plan, workers, nullptr);
       QueryResult framed = RunQuery(&data, plan, workers, &transport);
       std::string diff;
-      EXPECT_TRUE(exec::TablesEqualUnordered(legacy.table, framed.table,
-                                             1e-6, &diff))
+      EXPECT_TRUE(
+          exec::TablesEqualUnordered(*want, framed.table, 1e-6, &diff))
           << diff;
       // The transport path really went over the wire: a 3-node shuffle /
       // broadcast / gather ships remote bytes.
@@ -108,11 +108,11 @@ TEST(NetExecutorTest, TightCreditWindowStillMatches) {
 
   auto plan_or = workload::PlanForKind(QueryKind::kQ3, Db());
   ASSERT_TRUE(plan_or.ok()) << plan_or.status();
-  QueryResult legacy = RunQuery(&data, plan_or.value(), 2, nullptr);
+  auto want = workload::SingleNodeReference(QueryKind::kQ3, Db());
+  ASSERT_TRUE(want.ok()) << want.status();
   QueryResult framed = RunQuery(&data, plan_or.value(), 2, &transport);
   std::string diff;
-  EXPECT_TRUE(
-      exec::TablesEqualUnordered(legacy.table, framed.table, 1e-6, &diff))
+  EXPECT_TRUE(exec::TablesEqualUnordered(*want, framed.table, 1e-6, &diff))
       << diff;
 }
 
@@ -180,30 +180,6 @@ TEST(NetExecutorTest, NetworkJoulesConserveInMeterSplit) {
   // A second Finish sees a reset meter: no stale traffic leaks forward.
   const energy::QueryEnergyReport empty = meter.Finish();
   EXPECT_DOUBLE_EQ(empty.network.joules(), 0.0);
-}
-
-TEST(NetExecutorTest, LegacyChannelPathExportsQueueGauges) {
-  ClusterData data(3);
-  LoadVerticaLayout(&data);
-  obs::MetricsRegistry registry;
-
-  Executor::Options options;
-  options.workers_per_node = 2;
-  options.channel_metrics = &registry;
-  Executor executor(&data, std::move(options));
-  auto plan_or = workload::PlanForKind(QueryKind::kQ3, Db());
-  ASSERT_TRUE(plan_or.ok()) << plan_or.status();
-  auto result = executor.Execute(plan_or.value());
-  ASSERT_TRUE(result.ok()) << result.status();
-
-  // Gauges exist for the exchange channels and have drained back to
-  // empty once the query completed.
-  const std::string json = registry.SnapshotJson();
-  EXPECT_NE(json.find("chan.e0.n0.queue_depth"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("chan.e0.n0.bytes_queued"), std::string::npos);
-  EXPECT_DOUBLE_EQ(registry.gauge("chan.e0.n0.queue_depth"), 0.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("chan.e0.n0.bytes_queued"), 0.0);
 }
 
 TEST(NetExecutorTest, NodeClassNicTermPricesBytes) {

@@ -158,10 +158,10 @@ TEST(SocketTransportTest, CloseReleasesBlockedSendersAndReaders) {
   // Close — no hang, no leak (ASan/TSan jobs run this file too).
 }
 
-TEST(SocketTransportTest, ExecutorRowsMatchLegacyOnMixedFleetQuery) {
-  // The ISSUE acceptance gate for this backend: a real multi-node query
-  // whose shuffles cross actual sockets produces the same row multiset
-  // as the legacy in-memory channels.
+TEST(SocketTransportTest, ExecutorRowsMatchReferenceOnMixedFleetQuery) {
+  // A real multi-node query whose shuffles cross actual sockets produces
+  // the same row multiset as a single-node, one-worker run with no
+  // remote edges.
   tpch::DbgenOptions dbgen;
   dbgen.scale_factor = 0.002;
   dbgen.seed = 99;
@@ -178,9 +178,8 @@ TEST(SocketTransportTest, ExecutorRowsMatchLegacyOnMixedFleetQuery) {
   auto plan_or = workload::PlanForKind(workload::QueryKind::kQ3, db);
   ASSERT_TRUE(plan_or.ok()) << plan_or.status();
 
-  exec::Executor legacy_exec(&data);
-  auto legacy = legacy_exec.Execute(plan_or.value());
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  auto want = workload::SingleNodeReference(workload::QueryKind::kQ3, db);
+  ASSERT_TRUE(want.ok()) << want.status();
 
   SocketTransport transport;
   exec::Executor::Options options;
@@ -191,8 +190,8 @@ TEST(SocketTransportTest, ExecutorRowsMatchLegacyOnMixedFleetQuery) {
   ASSERT_TRUE(framed.ok()) << framed.status();
 
   std::string diff;
-  EXPECT_TRUE(exec::TablesEqualUnordered(legacy->table, framed->table,
-                                         1e-6, &diff))
+  EXPECT_TRUE(
+      exec::TablesEqualUnordered(*want, framed->table, 1e-6, &diff))
       << diff;
   EXPECT_GT(framed->metrics.TotalRemoteBytes(), 0.0);
 }

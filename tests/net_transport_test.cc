@@ -1,8 +1,10 @@
 // Transport-fabric behavior of the in-process backend (net/inproc.h):
-// multi-node delivery with provenance, small-block coalescing, per-edge
-// metrics, and — the property the bounded path exists for — credit
-// backpressure that stalls senders at the window without ever
-// deadlocking, with Close() releasing credit-blocked senders.
+// multi-node delivery with provenance, per-edge FIFO order, sender-token
+// end-of-stream, bounded receives, Close() poisoning (first reason wins,
+// blocked receivers wake), small-block coalescing, per-edge metrics, and
+// — the property the bounded path exists for — credit backpressure that
+// stalls senders at the window without ever deadlocking, with Close()
+// releasing credit-blocked senders.
 #include "net/inproc.h"
 
 #include <gtest/gtest.h>
@@ -84,6 +86,148 @@ TEST(InProcessTransportTest, DeliversAcrossNodesWithProvenance) {
       port->Receive(0, Duration::Seconds(5.0), nullptr, &timed_out)
           .has_value());
   EXPECT_FALSE(timed_out);
+}
+
+TEST(InProcessTransportTest, EdgesDeliverInFifoOrder) {
+  TransportOptions options;
+  options.coalesce_bytes = 0;  // every remote Send is its own frame
+  options.credit_window_frames = 8;  // room for all five, no receiver yet
+  InProcessTransport transport(options);
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  const Schema schema = KvSchema();
+
+  // Node 1 receives a remote stream from node 0 and a loopback stream
+  // from itself; each edge must preserve its send order.
+  for (int i = 0; i < 5; ++i) {
+    port->Send(0, 1, MakeBlock(schema, 100 + i, 1), nullptr);
+    port->Send(1, 1, MakeBlock(schema, 200 + i, 1), nullptr);
+  }
+  port->SenderDone(0);
+  port->SenderDone(1);
+
+  std::map<int, std::vector<std::int64_t>> keys_by_source;
+  while (true) {
+    auto got = port->Receive(1, Duration::Seconds(5.0), nullptr, nullptr);
+    if (!got.has_value()) break;
+    keys_by_source[got->source_node].push_back(
+        got->block.column(0).Int64At(got->block.RowIndex(0)));
+  }
+  EXPECT_EQ(keys_by_source[0],
+            (std::vector<std::int64_t>{100, 101, 102, 103, 104}));
+  EXPECT_EQ(keys_by_source[1],
+            (std::vector<std::int64_t>{200, 201, 202, 203, 204}));
+}
+
+TEST(InProcessTransportTest, ReceiveBlocksUntilSend) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  std::atomic<bool> got{false};
+  std::thread receiver([&] {
+    got = port->Receive(1, Duration::Infinite(), nullptr, nullptr)
+              .has_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(got.load());
+  port->Send(0, 1, MakeBlock(KvSchema(), 0, 1), nullptr);
+  port->SenderDone(0);
+  port->SenderDone(1);
+  receiver.join();
+  EXPECT_TRUE(got.load());
+}
+
+TEST(InProcessTransportTest, EndOfStreamWaitsForEverySender) {
+  InProcessTransport transport;
+  // One node with three sending workers: end-of-stream needs all three.
+  auto port = MakePort(transport, /*nodes=*/1, /*senders_each=*/3);
+  port->SenderDone(0);
+  port->SenderDone(0);
+  std::atomic<bool> done{false};
+  std::thread receiver([&] {
+    while (port->Receive(0, Duration::Infinite(), nullptr, nullptr)
+               .has_value()) {
+    }
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());  // third sender still open
+  port->SenderDone(0);
+  receiver.join();
+  EXPECT_TRUE(done.load());
+}
+
+// A receive on a poisoned port returns at once with no value and accrues
+// no blocked time, so a crashed query never charges waits to metrics.
+TEST(InProcessTransportTest, ReceiveAfterCloseReturnsImmediately) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  port->Send(1, 1, MakeBlock(KvSchema(), 0, 1), nullptr);
+  port->Close(Status::Unavailable("node down"));
+  Duration blocked = Duration::Seconds(1.0);
+  bool timed_out = true;
+  auto got = port->Receive(1, Duration::Infinite(), &blocked, &timed_out);
+  EXPECT_FALSE(got.has_value());  // queued block discarded by the poison
+  EXPECT_FALSE(timed_out);
+  EXPECT_DOUBLE_EQ(blocked.seconds(), 0.0);
+  EXPECT_TRUE(port->close_reason().IsUnavailable());
+}
+
+TEST(InProcessTransportTest, CloseWakesBlockedReceiver) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  std::atomic<bool> got{true};
+  std::thread receiver([&] {
+    got = port->Receive(0, Duration::Infinite(), nullptr, nullptr)
+              .has_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  port->Close(Status::Cancelled("query cancelled"));
+  receiver.join();
+  EXPECT_FALSE(got.load());
+  EXPECT_TRUE(port->close_reason().IsCancelled());
+}
+
+TEST(InProcessTransportTest, CloseKeepsFirstReasonAndToleratesLateSenders) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  port->Close(Status::Unavailable("first"));
+  port->Close(Status::Cancelled("second"));
+  EXPECT_TRUE(port->close_reason().IsUnavailable());
+  // Late sends and sender tokens after the poison are no-ops, not
+  // crashes (AbortSend teardown races with Close in the executor).
+  port->Send(0, 1, MakeBlock(KvSchema(), 0, 1), nullptr);
+  port->Send(1, 1, MakeBlock(KvSchema(), 0, 1), nullptr);
+  port->SenderDone(0);
+  port->SenderDone(1);
+  port->AbortSend(0);
+  EXPECT_FALSE(
+      port->Receive(1, Duration::Seconds(5.0), nullptr, nullptr)
+          .has_value());
+}
+
+TEST(InProcessTransportTest, ReceiveTimesOutOnStalledSender) {
+  InProcessTransport transport;
+  // Node 0's sender never sends nor finishes: a stalled peer.
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  Duration blocked = Duration::Zero();
+  bool timed_out = false;
+  auto got = port->Receive(1, Duration::Millis(30.0), &blocked, &timed_out);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_TRUE(timed_out);
+  EXPECT_GE(blocked.seconds(), 0.02);
+}
+
+TEST(InProcessTransportTest, ReceiveDeliversBeforeDeadline) {
+  InProcessTransport transport;
+  auto port = MakePort(transport, /*nodes=*/2, /*senders_each=*/1);
+  port->Send(0, 1, MakeBlock(KvSchema(), 0, 1), nullptr);
+  port->SenderDone(0);  // flushes the coalesced frame
+  bool timed_out = true;
+  auto got =
+      port->Receive(1, Duration::Seconds(5.0), nullptr, &timed_out);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(got->block.size(), 1u);
+  EXPECT_EQ(got->source_node, 0);
 }
 
 TEST(InProcessTransportTest, SmallRemoteBlocksCoalesceIntoFewerFrames) {
